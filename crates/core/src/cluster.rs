@@ -11,7 +11,7 @@
 //! the database entirely.
 
 use proteus_cache::{CacheConfig, CacheEngine};
-use proteus_ring::{hash::KeyHasher, PlacementStrategy};
+use proteus_ring::ServerId;
 use proteus_sim::{EventQueue, Histogram, Resource, SimDuration, SimRng, SimTime, TimeSeries};
 use proteus_store::{ShardedStore, StoreConfig};
 use proteus_workload::{Trace, TraceRecord};
@@ -22,6 +22,7 @@ use crate::config::ClusterConfig;
 use crate::controller::{FeedbackController, ProvisioningPlan};
 use crate::metrics::{ClusterReport, FetchClass, FetchCounters};
 use crate::power::{EnergyMeter, PowerState};
+use crate::router::Router;
 use crate::scenario::Scenario;
 use crate::transition::TransitionManager;
 
@@ -30,12 +31,24 @@ use crate::transition::TransitionManager;
 struct Ctx {
     arrival: SimTime,
     key: Vec<u8>,
+    hash: u64,
     new_server: usize,
     /// The old-mapping server whose digest matched, pinned at
     /// digest-check time so a slot boundary between the check and the
     /// old-server lookup cannot misroute the migration probe.
     old_server: Option<usize>,
-    false_positive: bool,
+}
+
+impl Ctx {
+    /// The class of a request the database served: a probed request
+    /// only gets there when its digest match was a false positive.
+    fn db_class(&self) -> FetchClass {
+        if self.old_server.is_some() {
+            FetchClass::DatabaseFalsePositive
+        } else {
+            FetchClass::Database
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -77,8 +90,7 @@ struct CacheNode {
 pub struct ClusterSim {
     config: ClusterConfig,
     scenario: Scenario,
-    strategy: Box<dyn PlacementStrategy + Send + Sync>,
-    hasher: KeyHasher,
+    router: Router,
     records: Vec<TraceRecord>,
     plan: ProvisioningPlan,
     feedback: Option<FeedbackController>,
@@ -147,7 +159,7 @@ impl ClusterSim {
             config.cache_servers,
             "plan sized for a different cluster"
         );
-        let strategy = scenario.strategy(config.cache_servers, 0);
+        let router = Router::new(scenario.strategy(config.cache_servers, 0));
         let mut cache_cfg =
             CacheConfig::with_capacity(config.cache_capacity_bytes).hot_ttl(config.hot_ttl);
         if let Some(digest) = config.digest_override {
@@ -186,8 +198,7 @@ impl ClusterSim {
         let peak_rate = estimate_peak_rate(trace.records(), config.slot);
         ClusterSim {
             rng: SimRng::seed_from_u64(seed),
-            strategy,
-            hasher: KeyHasher::default(),
+            router,
             records: trace.records().to_vec(),
             plan: plan.clone(),
             feedback: None,
@@ -249,8 +260,7 @@ impl ClusterSim {
         let max_objects = (budget_per_node / per_object) * n0 as u64;
         for page in 1..=self.config.pages.min(max_objects.saturating_mul(2)) {
             let key = page_key(page);
-            let hash = self.hasher.hash_bytes(&key);
-            let server = self.strategy.server_for(hash, n0).index();
+            let server = self.router.server_for(&key, n0).index();
             let node = &mut self.nodes[server];
             let cost = key.len() as u64 + self.config.object_size as u64 + 48;
             if node.engine.bytes_used() + cost <= budget_per_node {
@@ -308,9 +318,10 @@ impl ClusterSim {
         self.requests_per_slot[self.current_slot] += 1;
         self.arrivals_series.add(self.now, 1.0);
         let key = page_key(rec.page);
-        let hash = self.hasher.hash_bytes(&key);
+        let hash = self.router.key_hash(&key);
         let new_server = self
-            .strategy
+            .router
+            .strategy()
             .server_for(hash, self.transition.active())
             .index();
         // "The user requests will be uniformly randomly directed to all
@@ -322,15 +333,15 @@ impl ClusterSim {
         let ctx = Ctx {
             arrival: rec.at,
             key,
+            hash,
             new_server,
             old_server: None,
-            false_positive: false,
         };
         self.queue
             .schedule(grant.end + travel, Event::CacheLookup(ctx));
     }
 
-    fn handle_cache_lookup(&mut self, ctx: Ctx) {
+    fn handle_cache_lookup(&mut self, mut ctx: Ctx) {
         let server = ctx.new_server;
         self.count_server_request(server);
         let hit = self.nodes[server].engine.get(&ctx.key, self.now).is_some();
@@ -342,32 +353,23 @@ impl ClusterSim {
         // Miss at the new server. During a digest-scenario transition
         // window, consult the old server's digest (Algorithm 2 line 6)
         // — but only once the broadcast has reached the web tier.
-        if self.scenario.uses_digests()
-            && self.transition.in_transition(self.now)
-            && self.now >= self.digests_ready_at
-        {
-            let hash = self.hasher.hash_bytes(&ctx.key);
-            let old = self
-                .strategy
-                .server_for(hash, self.transition.previous_active())
-                .index();
-            if old != server {
-                if let Some(digest) = self.transition.digest(old) {
-                    if digest.contains(&ctx.key) {
-                        let travel = self.config.latency.cache_rtt.sample(&mut self.rng);
-                        let mut ctx = ctx;
-                        ctx.old_server = Some(old);
-                        self.queue
-                            .schedule(self.now + travel, Event::OldLookup(ctx));
-                        return;
-                    }
-                }
+        if self.scenario.uses_digests() && self.now >= self.digests_ready_at {
+            let home = ServerId::new(server as u32);
+            if let Some(old) =
+                self.router
+                    .digest_probe(&ctx.key, ctx.hash, home, &self.transition, self.now)
+            {
+                let travel = self.config.latency.cache_rtt.sample(&mut self.rng);
+                ctx.old_server = Some(old.index());
+                self.queue
+                    .schedule(self.now + travel, Event::OldLookup(ctx));
+                return;
             }
         }
         self.go_to_database(ctx);
     }
 
-    fn handle_old_lookup(&mut self, mut ctx: Ctx) {
+    fn handle_old_lookup(&mut self, ctx: Ctx) {
         let old = ctx
             .old_server
             .expect("OldLookup is only scheduled after a digest match");
@@ -392,11 +394,8 @@ impl ClusterSim {
                     FetchClass::Migrated,
                 );
             }
-            None => {
-                // Digest false positive (Algorithm 2 line 9).
-                ctx.false_positive = true;
-                self.go_to_database(ctx);
-            }
+            // Digest false positive (Algorithm 2 line 9).
+            None => self.go_to_database(ctx),
         }
     }
 
@@ -414,22 +413,12 @@ impl ClusterSim {
         } else {
             self.config.latency.cache_rtt.sample(&mut self.rng)
         };
-        let class = if ctx.false_positive {
-            FetchClass::DatabaseFalsePositive
-        } else {
-            FetchClass::Database
-        };
-        self.record_completion(ctx.arrival, self.now + dt_put, class);
+        self.record_completion(ctx.arrival, self.now + dt_put, ctx.db_class());
         // Release every request that coalesced onto this fetch.
         if let Some(waiters) = self.inflight.remove(&ctx.key) {
             for waiter in waiters {
                 let dt = self.cache_round_trip(waiter.new_server);
-                let class = if waiter.false_positive {
-                    FetchClass::DatabaseFalsePositive
-                } else {
-                    FetchClass::Database
-                };
-                self.record_completion(waiter.arrival, self.now + dt, class);
+                self.record_completion(waiter.arrival, self.now + dt, waiter.db_class());
             }
         }
     }
@@ -480,7 +469,7 @@ impl ClusterSim {
     }
 
     fn handle_drain_end(&mut self) {
-        for server in self.transition.finalize(self.now) {
+        for server in self.transition.finalize() {
             self.nodes[server].engine.clear();
         }
     }

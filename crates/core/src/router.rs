@@ -1,10 +1,12 @@
 //! Algorithm 2: digest-guided data retrieval.
 //!
-//! This is the synchronous reference implementation of the web-tier
-//! fetch logic, used directly by the quickstart example and the TCP
-//! tier; the discrete-event simulator re-implements the same decision
-//! tree with latencies attached (`cluster.rs`), and tests cross-check
-//! the two.
+//! [`Router::digest_probe`] is the algorithm's one transition rule:
+//! after a miss at the new server, probe the old-mapping server only if
+//! its broadcast digest vouches for the key. Three drivers share it
+//! together with one [`TransitionManager`]: the synchronous reference
+//! [`Router::fetch`] below, the discrete-event simulator (which attaches
+//! latencies, `cluster.rs`), and the live TCP cluster client. Tests
+//! cross-check the drivers against each other.
 
 use proteus_cache::CacheEngine;
 use proteus_ring::{hash::KeyHasher, PlacementStrategy, ServerId};
@@ -23,8 +25,8 @@ pub struct FetchOutcome {
     pub class: FetchClass,
     /// The key's server under the new mapping.
     pub new_server: ServerId,
-    /// The key's server under the old mapping, when a transition window
-    /// was open and the mapping differed.
+    /// The old-mapping server probed because its digest vouched for
+    /// the key ([`Router::digest_probe`]), if any.
     pub old_server: Option<ServerId>,
 }
 
@@ -77,6 +79,12 @@ impl Router {
         self.hasher.hash_bytes(key)
     }
 
+    /// The hasher behind [`key_hash`](Self::key_hash).
+    #[must_use]
+    pub fn hasher(&self) -> KeyHasher {
+        self.hasher
+    }
+
     /// The server responsible for `key` when `active` servers are on.
     #[must_use]
     pub fn server_for(&self, key: &[u8], active: usize) -> ServerId {
@@ -87,6 +95,41 @@ impl Router {
     #[must_use]
     pub fn strategy(&self) -> &(dyn PlacementStrategy + Send + Sync) {
         &*self.strategy
+    }
+
+    /// The server a key with hash `hash` and new-mapping server `home`
+    /// lived on under the old mapping, if `window` is open at `now` and
+    /// the two mappings differ: the stale copy a write must invalidate.
+    #[must_use]
+    pub fn moved_from(
+        &self,
+        hash: u64,
+        home: ServerId,
+        window: &TransitionManager,
+        now: SimTime,
+    ) -> Option<ServerId> {
+        if !window.in_transition(now) {
+            return None;
+        }
+        let old = self.strategy.server_for(hash, window.previous_active());
+        (old != home).then_some(old)
+    }
+
+    /// Algorithm 2, line 6: after a miss at `home`, the old-mapping
+    /// server to probe for `key` — its [`moved_from`](Self::moved_from)
+    /// server, provided that server's broadcast digest contains the key.
+    /// `None` sends the miss straight to the database.
+    #[must_use]
+    pub fn digest_probe(
+        &self,
+        key: &[u8],
+        hash: u64,
+        home: ServerId,
+        window: &TransitionManager,
+        now: SimTime,
+    ) -> Option<ServerId> {
+        self.moved_from(hash, home, window, now)
+            .filter(|old| window.digest(old.index()).is_some_and(|d| d.contains(key)))
     }
 
     /// Algorithm 2, lines 1–15: fetch `key`, consulting the old
@@ -107,46 +150,37 @@ impl Router {
         let new_server = self.strategy.server_for(hash, transition.active());
         // Line 2: try the new location first.
         if let Some(v) = caches[new_server.index()].get(key, now) {
-            let value = v.to_vec();
             return FetchOutcome {
-                value,
+                value: v.to_vec(),
                 class: FetchClass::NewHit,
                 new_server,
                 old_server: None,
             };
         }
         // Lines 6-8: during a transition, consult the old server's digest.
-        let mut old_server = None;
-        let mut false_positive = false;
-        if use_digests && transition.in_transition(now) {
-            let old = self.strategy.server_for(hash, transition.previous_active());
-            if old != new_server {
-                old_server = Some(old);
-                if let Some(digest) = transition.digest(old.index()) {
-                    if digest.contains(key) {
-                        let migrated = caches[old.index()].get(key, now).map(<[u8]>::to_vec);
-                        if let Some(value) = migrated {
-                            // Line 12: install at the new location.
-                            caches[new_server.index()].put(key, value.clone(), now);
-                            return FetchOutcome {
-                                value,
-                                class: FetchClass::Migrated,
-                                new_server,
-                                old_server,
-                            };
-                        }
-                        // Digest said yes, data was gone: false positive.
-                        false_positive = true;
-                    }
-                }
+        let old_server = self
+            .digest_probe(key, hash, new_server, transition, now)
+            .filter(|_| use_digests);
+        if let Some(old) = old_server {
+            if let Some(v) = caches[old.index()].get(key, now) {
+                let value = v.to_vec();
+                // Line 12: install at the new location.
+                caches[new_server.index()].put(key, value.clone(), now);
+                return FetchOutcome {
+                    value,
+                    class: FetchClass::Migrated,
+                    new_server,
+                    old_server,
+                };
             }
         }
-        // Lines 9-11: the database tier is the last resort.
+        // Lines 9-11: the database tier is the last resort. A probe
+        // that got here was a digest false positive.
         let value = db.fetch(key);
         caches[new_server.index()].put(key, value.clone(), now);
         FetchOutcome {
             value,
-            class: if false_positive {
+            class: if old_server.is_some() {
                 FetchClass::DatabaseFalsePositive
             } else {
                 FetchClass::Database
@@ -169,6 +203,7 @@ impl std::fmt::Debug for Router {
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
+    use proteus_bloom::{BloomConfig, BloomFilter, CountingBloomFilter};
     use proteus_cache::CacheConfig;
     use proteus_sim::SimDuration;
     use proteus_store::StoreConfig;
@@ -281,6 +316,84 @@ mod tests {
         let t_late = SimTime::from_secs(10);
         let got = router.fetch(&moving_key, t_late, &mut caches, &mut db, &tm, true);
         assert_eq!(got.class, FetchClass::Database);
+    }
+
+    #[test]
+    fn one_rule_decides_the_probe_and_the_invalidation() {
+        let (router, _, _) = setup(4);
+        let key_where = |moves: bool| {
+            (0..10_000u64)
+                .map(|i| format!("page:{i}").into_bytes())
+                .find(|k| (router.server_for(k, 4) != router.server_for(k, 3)) == moves)
+                .expect("keys both move and stay on 4 -> 3")
+        };
+        let (moving, staying) = (key_where(true), key_where(false));
+        let old = router.server_for(&moving, 4);
+        let digest_of = |keys: &[&[u8]]| {
+            let mut c = CountingBloomFilter::new(BloomConfig::new(1024, 4, 4));
+            keys.iter().for_each(|k| c.insert(k));
+            Some(c.snapshot())
+        };
+        // A 4 -> 3 window whose broadcast handed every old server `digest`.
+        let window = |digest: Option<BloomFilter>| {
+            let mut tm = TransitionManager::new(4, 4);
+            tm.open(3, vec![digest; 4]);
+            tm
+        };
+        let cases = [
+            (
+                "window closed",
+                &moving,
+                TransitionManager::new(4, 4),
+                false,
+                None,
+            ),
+            (
+                "same server under both mappings",
+                &staying,
+                window(digest_of(&[&staying])),
+                false,
+                None,
+            ),
+            (
+                "no digest for the old server",
+                &moving,
+                window(None),
+                false,
+                None,
+            ),
+            (
+                "digest says no",
+                &moving,
+                window(digest_of(&[])),
+                false,
+                None,
+            ),
+            (
+                "digest says yes",
+                &moving,
+                window(digest_of(&[&moving])),
+                false,
+                Some(old),
+            ),
+            (
+                "invalidation target",
+                &moving,
+                window(digest_of(&[])),
+                true,
+                Some(old),
+            ),
+        ];
+        for (case, key, tm, invalidate, expected) in cases {
+            let hash = router.key_hash(key);
+            let home = router.server_for(key, tm.active());
+            let got = if invalidate {
+                router.moved_from(hash, home, &tm, SimTime::ZERO)
+            } else {
+                router.digest_probe(key, hash, home, &tm, SimTime::ZERO)
+            };
+            assert_eq!(got, expected, "{case}");
+        }
     }
 
     #[test]

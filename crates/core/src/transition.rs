@@ -22,6 +22,10 @@ use crate::power::PowerState;
 ///    hot item has been migrated on demand, every cold item may be
 ///    dropped.
 ///
+/// The simulator, the reference [`Router`](crate::Router) and the live
+/// cluster client all keep their window in this one type and decide
+/// step 2 with [`Router::digest_probe`](crate::Router::digest_probe).
+///
 /// # Example
 ///
 /// ```
@@ -103,16 +107,11 @@ impl TransitionManager {
         self.states[i]
     }
 
-    /// Whether a transition window is open at time `now`.
+    /// Whether a transition window is open at time `now`: opened, not
+    /// finalized, and not past its deadline (if it has one).
     #[must_use]
     pub fn in_transition(&self, now: SimTime) -> bool {
-        self.deadline.is_some_and(|d| now < d)
-    }
-
-    /// The open window's deadline, if any.
-    #[must_use]
-    pub fn deadline(&self) -> Option<SimTime> {
-        self.deadline
+        self.window_open() && self.deadline.is_none_or(|d| now < d)
     }
 
     /// The digest snapshot of server `i` taken at the start of the
@@ -121,6 +120,13 @@ impl TransitionManager {
     #[must_use]
     pub fn digest(&self, i: usize) -> Option<&BloomFilter> {
         self.digests.get(i).and_then(Option::as_ref)
+    }
+
+    /// Whether two mappings are live: a window was opened and not yet
+    /// finalized (past its deadline or not).
+    #[must_use]
+    pub fn window_open(&self) -> bool {
+        self.previous_active != self.active
     }
 
     /// Opens a transition to `new_active` servers at time `now` with a
@@ -142,40 +148,49 @@ impl TransitionManager {
     ) where
         F: FnMut(usize) -> BloomFilter,
     {
-        assert!(
-            (1..=self.total).contains(&new_active),
-            "new active count {new_active} outside 1..={}",
-            self.total
-        );
-        if self.deadline.is_some() {
-            self.finalize(now);
+        if self.window_open() {
+            self.finalize();
         }
         if new_active == self.active {
             return;
         }
-        let old_active = self.active;
         // Broadcast: snapshot every server of the old configuration.
-        for i in 0..old_active {
-            self.digests[i] = Some(snapshot(i));
-        }
-        if new_active < old_active {
-            for i in new_active..old_active {
-                self.states[i] = PowerState::Draining;
-            }
-        } else {
-            for i in old_active..new_active {
-                self.states[i] = PowerState::On;
-            }
-        }
-        self.previous_active = old_active;
-        self.active = new_active;
+        let digests = (0..self.total)
+            .map(|i| (i < self.active).then(|| snapshot(i)))
+            .collect();
+        self.open(new_active, digests);
         self.deadline = Some(now + ttl);
+    }
+
+    /// Opens a transition to `new_active` servers with a broadcast
+    /// collected elsewhere: `digests[i]` is server `i`'s snapshot, or
+    /// `None` where none could be taken (its keys then read as cold).
+    /// The window has no deadline; it stays open until
+    /// [`finalize`](Self::finalize), so a caller on a wall clock times
+    /// the drain itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a window is already open, if `new_active` equals the
+    /// current count or is outside `1..=total`, or if `digests` does
+    /// not hold one entry per server.
+    pub fn open(&mut self, new_active: usize, digests: Vec<Option<BloomFilter>>) {
+        self.check_range(new_active);
+        assert!(!self.window_open(), "a transition window is already open");
+        assert_ne!(new_active, self.active, "a window needs a new mapping");
+        assert_eq!(digests.len(), self.total, "one digest slot per server");
+        // At most one of the two ranges is non-empty.
+        self.states[new_active.min(self.active)..self.active].fill(PowerState::Draining);
+        self.states[self.active.min(new_active)..new_active].fill(PowerState::On);
+        self.digests = digests;
+        self.previous_active = self.active;
+        self.active = new_active;
     }
 
     /// Closes the current window: draining servers power off, digests
     /// are dropped, and the old mapping is retired. Returns the servers
     /// that powered off (their caches should be cleared).
-    pub fn finalize(&mut self, _now: SimTime) -> Vec<usize> {
+    pub fn finalize(&mut self) -> Vec<usize> {
         let mut powered_off = Vec::new();
         for (i, s) in self.states.iter_mut().enumerate() {
             if *s == PowerState::Draining {
@@ -199,31 +214,23 @@ impl TransitionManager {
     ///
     /// Panics if `new_active` is outside `1..=total`.
     pub fn switch_abrupt(&mut self, new_active: usize) -> Vec<usize> {
+        self.check_range(new_active);
+        let mut powered_off = self.finalize();
+        // At most one of the two ranges is non-empty.
+        powered_off.extend(new_active..self.active);
+        self.states[new_active.min(self.active)..self.active].fill(PowerState::Off);
+        self.states[self.active.min(new_active)..new_active].fill(PowerState::On);
+        self.active = new_active;
+        self.previous_active = new_active;
+        powered_off
+    }
+
+    fn check_range(&self, new_active: usize) {
         assert!(
             (1..=self.total).contains(&new_active),
             "new active count {new_active} outside 1..={}",
             self.total
         );
-        let mut powered_off = if self.deadline.is_some() {
-            self.finalize(SimTime::ZERO)
-        } else {
-            Vec::new()
-        };
-        let old_active = self.active;
-        if new_active < old_active {
-            for i in new_active..old_active {
-                self.states[i] = PowerState::Off;
-                powered_off.push(i);
-            }
-        } else {
-            for i in old_active..new_active {
-                self.states[i] = PowerState::On;
-            }
-        }
-        self.active = new_active;
-        self.previous_active = new_active;
-        self.deadline = None;
-        powered_off
     }
 }
 
@@ -280,7 +287,7 @@ mod tests {
         tm.begin(SimTime::ZERO, 3, SimDuration::from_secs(5), |_| {
             digest_with(&[])
         });
-        let off = tm.finalize(SimTime::from_secs(5));
+        let off = tm.finalize();
         assert_eq!(off, vec![3]);
         assert_eq!(tm.state(3), PowerState::Off);
         assert_eq!(tm.previous_active(), 3);

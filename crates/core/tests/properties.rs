@@ -51,7 +51,7 @@ proptest! {
             }
             // Finalize sometimes, mimicking drain deadlines.
             if step % 3 == 2 {
-                for _server in tm.finalize(now) {}
+                for _server in tm.finalize() {}
                 prop_assert_eq!(tm.previous_active(), tm.active());
             }
         }
@@ -69,7 +69,7 @@ proptest! {
                 prop_assert_eq!(tm.digest(i).is_some(), i < total, "during window, server {}", i);
             }
         }
-        tm.finalize(SimTime::from_secs(5));
+        tm.finalize();
         for i in 0..total {
             prop_assert!(tm.digest(i).is_none(), "after finalize, server {}", i);
         }

@@ -226,12 +226,9 @@ impl ClusterController {
             ops_per_sec: signal.ops_per_sec,
             p99: signal.p99,
         };
-        let decision = self.policy.decide(now, &input);
-        let Decision::Scale { from, to } = decision else {
-            let Decision::Hold(reason) = decision else {
-                unreachable!()
-            };
-            return StepAction::Held(reason);
+        let (from, to) = match self.policy.decide(now, &input) {
+            Decision::Scale { from, to } => (from, to),
+            Decision::Hold(reason) => return StepAction::Held(reason),
         };
 
         // The decision event precedes the transition events it causes.
@@ -267,18 +264,8 @@ impl ClusterController {
             }
         }
         drop(client);
-        for (i, addr) in self.metrics_addrs.iter().enumerate() {
-            let state = if i < to.min(from) {
-                continue; // staying active, state unchanged
-            } else if i < to {
-                PowerState::On // finished booting, now serving
-            } else if i < from {
-                PowerState::Draining
-            } else {
-                continue; // already off
-            };
-            self.observer.set_power_state(*addr, state);
-        }
+        // Joiners finished booting and now serve; leavers drain.
+        self.sync_power_states();
         self.pending = Some(Pending::Drain {
             from,
             deadline: now + self.actuation.drain,
@@ -287,33 +274,36 @@ impl ClusterController {
     }
 
     fn close_window(&mut self, from: usize, now: Instant) -> StepAction {
-        let closed = self.client.write().end_transition();
+        self.client.write().end_transition();
         let to = self.client.read().active();
-        if let Some(status) = closed {
-            if status.to < status.from {
-                // Drain complete: the departed servers power off for
-                // real (in the energy account — the paper's actuation
-                // point). A grow's close has nobody to power down.
-                for addr in &self.metrics_addrs[status.to..status.from] {
-                    self.observer.set_power_state(*addr, PowerState::Off);
-                }
-            }
-        }
+        // Drain complete: the departed servers power off for real (in
+        // the energy account — the paper's actuation point).
+        self.sync_power_states();
         self.policy.record_window_closed(now);
         self.pending = None;
         StepAction::WindowClosed { from, to }
+    }
+
+    /// Copies every server's power state from the client's routing
+    /// window into the observer's energy account.
+    fn sync_power_states(&self) {
+        let client = self.client.read();
+        let states: Vec<PowerState> = (0..self.metrics_addrs.len())
+            .map(|i| client.window().state(i))
+            .collect();
+        drop(client);
+        for (addr, state) in self.metrics_addrs.iter().zip(states) {
+            self.observer.set_power_state(*addr, state);
+        }
     }
 
     fn record_decision(&self, from: usize, to: usize, signal: &ControlSignal) {
         let p99_us = signal
             .p99
             .map_or(0, |d| u32::try_from(d.as_micros()).unwrap_or(u32::MAX));
-        let ops = if signal.ops_per_sec.is_finite() && signal.ops_per_sec > 0.0 {
-            if signal.ops_per_sec >= f64::from(u32::MAX) {
-                u32::MAX
-            } else {
-                signal.ops_per_sec as u32
-            }
+        // The cast saturates: negatives read 0, huge rates u32::MAX.
+        let ops = if signal.ops_per_sec.is_finite() {
+            signal.ops_per_sec as u32
         } else {
             0
         };

@@ -97,6 +97,10 @@ fn controller_shrinks_and_grows_a_live_cluster() {
         "idle cluster must shed max_step servers"
     );
     assert!(controller.transition_pending());
+    // The leavers drain in the energy account while the window is open.
+    let energy = h.observer.energy();
+    assert_eq!(energy.state(N - 1), PowerState::Draining);
+    assert_eq!(energy.state(N - 2), PowerState::Draining);
 
     // Step 2, past the drain deadline: the window closes, the departed
     // servers power off, the cooldown starts.
@@ -148,6 +152,10 @@ fn controller_shrinks_and_grows_a_live_cluster() {
         report.action,
         StepAction::WindowOpened { from: N - 2, to: N }
     );
+    // The joiners finished booting and serve from the window's open.
+    let energy = h.observer.energy();
+    assert_eq!(energy.state(N - 1), PowerState::On);
+    assert_eq!(energy.state(N - 2), PowerState::On);
     let report = controller.step_at(t0 + Duration::from_millis(1100));
     assert_eq!(
         report.action,

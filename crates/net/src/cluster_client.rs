@@ -10,11 +10,13 @@ use parking_lot::Mutex;
 use proteus_bloom::BloomFilter;
 use proteus_cache::SharedBytes;
 use proteus_core::hot_key::{ReplicaRings, SpaceSaving, TwoChoices};
+use proteus_core::{Router, TransitionManager};
 use proteus_obs::{
     trace_metrics, Counter, EventTracer, FetchClassKind, FetchLatencies, Gauge, Metric,
     MetricSource, TraceKind,
 };
-use proteus_ring::{hash::KeyHasher, PlacementStrategy, ServerId};
+use proteus_ring::{PlacementStrategy, ServerId};
+use proteus_sim::SimTime;
 use proteus_store::ShardedStore;
 
 use crate::client::{CacheClient, ClientConfig, ClientStats};
@@ -227,28 +229,30 @@ impl TransitionStatus {
     }
 }
 
+/// The instant the live client reads its window at: a live window has
+/// no deadline, so every instant reads the same.
+const LIVE: SimTime = SimTime::ZERO;
+
 /// A web server's view of the live cache cluster: one pooled client
-/// per cache server, the placement strategy, the current and previous
-/// active counts, and the digests broadcast at the last transition.
+/// per cache server, plus the same [`Router`] (placement strategy and
+/// key hasher) and [`TransitionManager`] (current and previous
+/// mappings, the digests broadcast at the last transition, each
+/// server's power state) that the simulator drives.
 ///
-/// This is the TCP twin of [`proteus_core::Router`]: the same
-/// Algorithm 2 decision tree, with real sockets underneath — plus the
-/// failure model the paper's power policy demands. A power policy
+/// Fetches run Algorithm 2 through the shared
+/// [`Router::digest_probe`] rule with real sockets underneath — plus
+/// the failure model the paper's power policy demands. A power policy
 /// turns cache servers off *mid-traffic*, so an unreachable server is
 /// business as usual here: transport failures degrade to the
 /// authoritative store ([`ClusterFetch::Degraded`]) instead of
 /// erroring, and each server's [`CacheClient`] retries, reconnects,
 /// and fails fast through its circuit breaker.
-///
-/// [`proteus_core::Router`]: https://docs.rs/proteus-core
 pub struct ClusterClient {
     clients: Vec<CacheClient>,
-    strategy: Box<dyn PlacementStrategy + Send + Sync>,
-    hasher: KeyHasher,
-    active: usize,
-    previous_active: usize,
-    digests: Vec<Option<BloomFilter>>,
-    in_transition: bool,
+    router: Router,
+    window: TransitionManager,
+    /// When the open window's digest broadcast completed, on the wall
+    /// clock (the manager's own clock is simulated time).
     transition_since: Option<Instant>,
     stats: Arc<AtomicClusterStats>,
     fetches: Arc<FetchLatencies>,
@@ -310,12 +314,8 @@ impl ClusterClient {
         let n = clients.len();
         Ok(ClusterClient {
             clients,
-            strategy,
-            hasher: KeyHasher::default(),
-            active: n,
-            previous_active: n,
-            digests: vec![None; n],
-            in_transition: false,
+            router: Router::new(strategy),
+            window: TransitionManager::new(n, n),
             transition_since: None,
             stats: Arc::new(AtomicClusterStats::default()),
             fetches: Arc::new(FetchLatencies::default()),
@@ -355,7 +355,7 @@ impl ClusterClient {
         let n = client.clients.len();
         client.hot = Some(HotKeyState {
             config: hot,
-            rings: ReplicaRings::new(client.hasher, hot.replicas),
+            rings: ReplicaRings::new(client.router.hasher(), hot.replicas),
             sketch: Mutex::new(SpaceSaving::new(hot.sketch_capacity)),
             replicated: Mutex::new(std::collections::HashMap::new()),
             chooser: TwoChoices::new(),
@@ -370,14 +370,28 @@ impl ClusterClient {
     /// Currently active servers.
     #[must_use]
     pub fn active(&self) -> usize {
-        self.active
+        self.window.active()
     }
 
     /// The server responsible for `key` at the current active count.
     #[must_use]
     pub fn server_for(&self, key: &[u8]) -> ServerId {
-        self.strategy
-            .server_for(self.hasher.hash_bytes(key), self.active)
+        self.home(self.router.key_hash(key))
+    }
+
+    /// The server responsible for a key hash at the current active count.
+    fn home(&self, hash: u64) -> ServerId {
+        self.router
+            .strategy()
+            .server_for(hash, self.window.active())
+    }
+
+    /// The routing window: the current and previous mappings, the
+    /// digests broadcast at the last transition, and each server's
+    /// power state.
+    #[must_use]
+    pub fn window(&self) -> &TransitionManager {
+        &self.window
     }
 
     /// The per-server client, for inspecting breaker state and
@@ -523,14 +537,15 @@ impl ClusterClient {
             "active count {new_active} outside 1..={}",
             self.clients.len()
         );
-        if new_active == self.active {
+        let active = self.active();
+        if new_active == active {
             return Ok(());
         }
-        if self.in_transition {
+        if self.transition_active() {
             return Err(NetError::TransitionInProgress);
         }
         self.tracer.record(TraceKind::TransitionBegin {
-            from: self.active as u32,
+            from: active as u32,
             to: new_active as u32,
         });
         let mut digests = vec![None; self.clients.len()];
@@ -542,7 +557,7 @@ impl ClusterClient {
         // and one that takes seconds. Results are joined in server
         // order, so the trace stream stays deterministic.
         let results: Vec<Result<Option<BloomFilter>, NetError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self.clients[..self.active]
+            let handles: Vec<_> = self.clients[..active]
                 .iter()
                 .map(|client| scope.spawn(move || client.snapshot_digest()))
                 .collect();
@@ -552,28 +567,22 @@ impl ClusterClient {
                 .collect()
         });
         for (i, result) in results.into_iter().enumerate() {
-            match result {
+            let ok = match result {
                 Ok(digest) => {
-                    self.tracer.record(TraceKind::DigestBroadcast {
-                        server: i as u32,
-                        ok: true,
-                    });
                     digests[i] = digest;
+                    true
                 }
                 Err(e) if e.is_transport() => {
-                    self.tracer.record(TraceKind::DigestBroadcast {
-                        server: i as u32,
-                        ok: false,
-                    });
                     self.stats.missing_digests.fetch_add(1, Ordering::Relaxed);
+                    false
                 }
                 Err(e) => return Err(e),
-            }
+            };
+            let server = i as u32;
+            self.tracer
+                .record(TraceKind::DigestBroadcast { server, ok });
         }
-        self.digests = digests;
-        self.previous_active = self.active;
-        self.active = new_active;
-        self.in_transition = true;
+        self.window.open(new_active, digests);
         self.transition_since = Some(Instant::now());
         // Replica sets are a function of the active prefix: recompute
         // every hot key's set against the new ring so no replica points
@@ -582,13 +591,8 @@ impl ClusterClient {
         // there (`try_replicas` re-installs on the servers it probed
         // and missed), so no bulk copy happens at transition time.
         if let Some(hot) = &self.hot {
-            let mut map = hot.replicated.lock();
-            let keys: Vec<Vec<u8>> = map.keys().cloned().collect();
-            for key in keys {
-                let set = hot
-                    .rings
-                    .replica_set(&key, |h| self.strategy.server_for(h, self.active).index());
-                map.insert(key, set);
+            for (key, set) in hot.replicated.lock().iter_mut() {
+                *set = hot.rings.replica_set(key, |h| self.home(h).index());
             }
         }
         Ok(())
@@ -600,7 +604,7 @@ impl ClusterClient {
     /// [`NetError::TransitionInProgress`] rejection.
     #[must_use]
     pub fn transition_active(&self) -> bool {
-        self.in_transition
+        self.window.window_open()
     }
 
     /// The open transition window's shape, or `None` when no window is
@@ -611,8 +615,8 @@ impl ClusterClient {
     pub fn transition_status(&self) -> Option<TransitionStatus> {
         let since = self.transition_since?;
         Some(TransitionStatus {
-            from: self.previous_active,
-            to: self.active,
+            from: self.window.previous_active(),
+            to: self.window.active(),
             since,
         })
     }
@@ -626,25 +630,18 @@ impl ClusterClient {
     /// controller forwards to its power actuator — or `None` if no
     /// window was open (the call is then a no-op).
     pub fn end_transition(&mut self) -> Option<TransitionStatus> {
-        let closed = if self.in_transition {
-            self.tracer.record(TraceKind::TransitionDrain {
-                from: self.previous_active as u32,
-                to: self.active as u32,
+        let closed = self.transition_status()?;
+        self.tracer.record(TraceKind::TransitionDrain {
+            from: closed.from as u32,
+            to: closed.to as u32,
+        });
+        for server in self.window.finalize() {
+            self.tracer.record(TraceKind::PowerOff {
+                server: server as u32,
             });
-            for server in self.active..self.previous_active {
-                self.tracer.record(TraceKind::PowerOff {
-                    server: server as u32,
-                });
-            }
-            self.transition_status()
-        } else {
-            None
-        };
-        self.digests.iter_mut().for_each(|d| *d = None);
-        self.previous_active = self.active;
-        self.in_transition = false;
+        }
         self.transition_since = None;
-        closed
+        Some(closed)
     }
 
     /// Installs `value` at `server` on a best-effort basis: an
@@ -739,16 +736,16 @@ impl ClusterClient {
         key: &[u8],
         db: &D,
     ) -> Result<(SharedBytes, ClusterFetch), NetError> {
-        let hash = self.hasher.hash_bytes(key);
-        let new_server = self.strategy.server_for(hash, self.active).index();
-        if let Some(hit) = self.try_replicas(key, new_server)? {
+        let hash = self.router.key_hash(key);
+        let home = self.home(hash);
+        if let Some(hit) = self.try_replicas(key, home.index())? {
             if let Some(hot) = &self.hot {
                 hot.sketch.lock().observe(key);
             }
             return Ok(hit);
         }
-        let (value, class) = self.algorithm2_fetch(key, hash, new_server, db)?;
-        self.hot_key_after_fetch(key, &value, new_server, class)?;
+        let (value, class) = self.algorithm2_fetch(key, hash, home, db)?;
+        self.hot_key_after_fetch(key, &value, home.index(), class)?;
         Ok((value, class))
     }
 
@@ -851,9 +848,7 @@ impl ClusterClient {
                 if count < hot.config.hot_key_threshold {
                     return Ok(());
                 }
-                let set = hot
-                    .rings
-                    .replica_set(key, |h| self.strategy.server_for(h, self.active).index());
+                let set = hot.rings.replica_set(key, |h| self.home(h).index());
                 if set.len() < 2 {
                     return Ok(());
                 }
@@ -904,14 +899,12 @@ impl ClusterClient {
         let mut per_server: std::collections::HashMap<usize, Vec<&[u8]>> =
             std::collections::HashMap::new();
         for &key in keys {
-            let hash = self.hasher.hash_bytes(key);
-            let home = self.strategy.server_for(hash, self.active).index();
-            if self.in_transition {
-                let old = self.strategy.server_for(hash, self.previous_active).index();
-                if old != home {
-                    per_server.entry(old).or_default().push(key);
-                }
+            let hash = self.router.key_hash(key);
+            let home = self.home(hash);
+            if let Some(old) = self.router.moved_from(hash, home, &self.window, LIVE) {
+                per_server.entry(old.index()).or_default().push(key);
             }
+            let home = home.index();
             if let Some(hot) = &self.hot {
                 if let Some(set) = hot.replicated.lock().get(key) {
                     for &server in set.iter().filter(|&&s| s != home) {
@@ -943,9 +936,10 @@ impl ClusterClient {
         &self,
         key: &[u8],
         hash: u64,
-        new_server: usize,
+        home: ServerId,
         db: &D,
     ) -> Result<(SharedBytes, ClusterFetch), NetError> {
+        let new_server = home.index();
         match self.clients[new_server].get(key) {
             Ok(Some(value)) => return Ok((value, ClusterFetch::Hit)),
             Ok(None) => {}
@@ -960,54 +954,41 @@ impl ClusterClient {
             }
             Err(e) => return Err(e),
         }
-        if self.in_transition {
-            let old = self.strategy.server_for(hash, self.previous_active).index();
-            if old != new_server {
-                if let Some(digest) = &self.digests[old] {
-                    if digest.contains(key) {
-                        match self.clients[old].get(key) {
-                            Ok(Some(value)) => {
-                                // Same allocation all the way through:
-                                // the buffer read off the old server's
-                                // socket is the one re-`set` at the new
-                                // server — a refcount bump, not a copy.
-                                self.install(new_server, key, SharedBytes::clone(&value))?;
-                                self.tracer.record(TraceKind::KeyMigrated {
-                                    from: old as u32,
-                                    to: new_server as u32,
-                                });
-                                return Ok((value, ClusterFetch::Migrated));
-                            }
-                            Ok(None) => {
-                                // The digest vouched for the key but
-                                // the old server missed: a Bloom false
-                                // positive (or the departing server
-                                // evicted it). The wasted round trip
-                                // is classified, not hidden.
-                                return self.db_fetch(
-                                    key,
-                                    db,
-                                    new_server,
-                                    ClusterFetch::FalsePositive,
-                                );
-                            }
-                            Err(e) if e.is_transport() => {
-                                // The departing server died early; its
-                                // hot keys fall through to the database.
-                                self.stats
-                                    .skipped_migrations
-                                    .fetch_add(1, Ordering::Relaxed);
-                                self.tracer
-                                    .record(TraceKind::MigrationSkipped { server: old as u32 });
-                                return self.db_fetch(key, db, new_server, ClusterFetch::Degraded);
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
+        let Some(old) = self
+            .router
+            .digest_probe(key, hash, home, &self.window, LIVE)
+        else {
+            return self.db_fetch(key, db, new_server, ClusterFetch::Database);
+        };
+        let old = old.index();
+        match self.clients[old].get(key) {
+            Ok(Some(value)) => {
+                // Same allocation all the way through: the buffer read
+                // off the old server's socket is the one re-`set` at
+                // the new server — a refcount bump, not a copy.
+                self.install(new_server, key, SharedBytes::clone(&value))?;
+                self.tracer.record(TraceKind::KeyMigrated {
+                    from: old as u32,
+                    to: new_server as u32,
+                });
+                Ok((value, ClusterFetch::Migrated))
             }
+            // The digest vouched for the key but the old server missed:
+            // a Bloom false positive (or the departing server evicted
+            // it). The wasted round trip is classified, not hidden.
+            Ok(None) => self.db_fetch(key, db, new_server, ClusterFetch::FalsePositive),
+            Err(e) if e.is_transport() => {
+                // The departing server died early; its hot keys fall
+                // through to the database.
+                self.stats
+                    .skipped_migrations
+                    .fetch_add(1, Ordering::Relaxed);
+                self.tracer
+                    .record(TraceKind::MigrationSkipped { server: old as u32 });
+                self.db_fetch(key, db, new_server, ClusterFetch::Degraded)
+            }
+            Err(e) => Err(e),
         }
-        self.db_fetch(key, db, new_server, ClusterFetch::Database)
     }
 
     /// Batched Algorithm 2: fetches many keys with one pipelined
@@ -1118,22 +1099,19 @@ impl ClusterClient {
                     slot.insert(pos);
                 }
             }
-            let hash = self.hasher.hash_bytes(key);
-            let new_server = self.strategy.server_for(hash, self.active).index();
+            let hash = self.router.key_hash(key);
+            let home = self.home(hash);
+            let new_server = home.index();
             if failed.contains(&new_server) {
                 out[pos] = Some(self.fetch(key, db)?);
                 continue;
             }
-            if self.in_transition {
-                let old = self.strategy.server_for(hash, self.previous_active).index();
-                if old != new_server {
-                    if let Some(digest) = &self.digests[old] {
-                        if digest.contains(key) {
-                            probe_groups.entry(old).or_default().push(pos);
-                            continue;
-                        }
-                    }
-                }
+            if let Some(old) = self
+                .router
+                .digest_probe(key, hash, home, &self.window, LIVE)
+            {
+                probe_groups.entry(old.index()).or_default().push(pos);
+                continue;
             }
             out[pos] = Some(self.timed_db_fetch(key, db, new_server, ClusterFetch::Database)?);
         }
@@ -1246,9 +1224,9 @@ impl fmt::Debug for ClusterClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ClusterClient")
             .field("servers", &self.clients.len())
-            .field("active", &self.active)
-            .field("in_transition", &self.in_transition)
-            .field("strategy", &self.strategy.name())
+            .field("active", &self.active())
+            .field("in_transition", &self.transition_active())
+            .field("strategy", &self.router.strategy().name())
             .finish()
     }
 }

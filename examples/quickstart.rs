@@ -84,7 +84,7 @@ fn main() {
     println!("second pass: {second_hits}/{} direct hits", keys.len());
 
     // After TTL the drained server powers off safely.
-    for server in transition.finalize(t1 + SimDuration::from_secs(60)) {
+    for server in transition.finalize() {
         caches[server].clear();
         println!("s{} powered off (cache cleared)", server + 1);
     }

@@ -103,13 +103,32 @@ fn wire_and_reference_routers_agree() {
     let keys: Vec<Vec<u8>> = (0..120u32)
         .map(|i| format!("page:{i}").into_bytes())
         .collect();
+    // One phase: both sides fetch every key at `t` and must agree on
+    // each class and on the database traffic so far. Returns how many
+    // keys migrated.
+    let phase = |name: &str,
+                 t: SimTime,
+                 tm: &TransitionManager,
+                 engines: &mut [CacheEngine],
+                 ref_db: &mut ShardedStore,
+                 cluster: &ClusterClient| {
+        let mut migrated = 0;
+        for k in &keys {
+            let ref_out = router.fetch(k, t, engines, ref_db, tm, true);
+            let (_, net_out) = cluster.fetch(k, &net_db).unwrap();
+            assert_eq!(classify(ref_out.class), net_out, "{name} {k:?}");
+            migrated += usize::from(net_out == ClusterFetch::Migrated);
+        }
+        assert_eq!(
+            ref_db.total_fetches(),
+            net_db.lock().total_fetches(),
+            "{name}: database fetches"
+        );
+        migrated
+    };
     let t0 = SimTime::ZERO;
     // Phase 1: identical warming.
-    for k in &keys {
-        let ref_out = router.fetch(k, t0, &mut engines, &mut ref_db, &tm, true);
-        let (_, net_out) = cluster.fetch(k, &net_db).unwrap();
-        assert_eq!(classify(ref_out.class), net_out, "warm {k:?}");
-    }
+    phase("warm", t0, &tm, &mut engines, &mut ref_db, &cluster);
     // Phase 2: identical transition 4 -> 3.
     tm.begin(
         t0 + SimDuration::from_secs(1),
@@ -119,12 +138,25 @@ fn wire_and_reference_routers_agree() {
     );
     cluster.begin_transition(3).unwrap();
     let t1 = t0 + SimDuration::from_secs(2);
-    for k in &keys {
-        let ref_out = router.fetch(k, t1, &mut engines, &mut ref_db, &tm, true);
-        let (_, net_out) = cluster.fetch(k, &net_db).unwrap();
-        assert_eq!(classify(ref_out.class), net_out, "transition {k:?}");
+    let migrated = phase("transition", t1, &tm, &mut engines, &mut ref_db, &cluster);
+    assert!(migrated > 0, "the shrink must migrate some keys");
+    // Phase 3: close the window; the departed server loses its cache.
+    for server in tm.finalize() {
+        engines[server].clear();
+        cluster.client(server).flush_all().unwrap();
     }
-    assert_eq!(ref_db.total_fetches(), net_db.lock().total_fetches());
+    cluster.end_transition().unwrap();
+    let t2 = t0 + SimDuration::from_secs(120);
+    phase("closed", t2, &tm, &mut engines, &mut ref_db, &cluster);
+    // Phase 4: grow 3 -> 4; keys returning to the cold joiner migrate
+    // back from their old-mapping server.
+    tm.begin(t2, 4, SimDuration::from_secs(60), |i| {
+        engines[i].digest_snapshot()
+    });
+    cluster.begin_transition(4).unwrap();
+    let t3 = t2 + SimDuration::from_secs(1);
+    let migrated = phase("grow", t3, &tm, &mut engines, &mut ref_db, &cluster);
+    assert!(migrated > 0, "the grow must migrate some keys back");
     for s in servers {
         s.stop();
     }
@@ -134,7 +166,8 @@ fn classify(class: FetchClass) -> ClusterFetch {
     match class {
         FetchClass::NewHit => ClusterFetch::Hit,
         FetchClass::Migrated => ClusterFetch::Migrated,
-        FetchClass::Database | FetchClass::DatabaseFalsePositive => ClusterFetch::Database,
+        FetchClass::Database => ClusterFetch::Database,
+        FetchClass::DatabaseFalsePositive => ClusterFetch::FalsePositive,
     }
 }
 
