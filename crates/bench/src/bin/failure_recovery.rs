@@ -25,19 +25,12 @@ fn main() {
         "\n{:<16} {:>16} {:>16} {:>16} {:>16}",
         "scenario", "pre-crash p99.9", "crash-slot worst", "+1 slot", "+2 slots"
     );
-    let per_slot = eval.config.response_buckets / eval.config.slots;
     for scenario in Scenario::all() {
         eprintln!("  running {} ...", scenario.name());
         let mut config = eval.config.clone();
         config.cache_wipe_failures = vec![(crash_at, 0)];
         let report = ClusterSim::new(config, scenario, &eval.trace, &eval.plan, SIM_SEED).run();
-        let slot_worst = |slot: usize| {
-            report.latency_buckets
-                [slot * per_slot..((slot + 1) * per_slot).min(report.latency_buckets.len())]
-                .iter()
-                .filter_map(|h| h.quantile(0.999))
-                .max()
-        };
+        let slot_worst = |slot: usize| report.slot_worst_quantile(slot, 0.999);
         println!(
             "{:<16} {:>16} {:>16} {:>16} {:>16}",
             scenario.name(),

@@ -36,7 +36,6 @@ fn main() {
     }
 
     // Numeric table on slot granularity (the worst bucket per slot).
-    let per_slot = eval.config.response_buckets / eval.config.slots;
     println!("\nworst in-slot p99.9 (ms):");
     print!("{:>4} {:>6}", "slot", "n(t)");
     for (sc, _) in &reports {
@@ -46,11 +45,10 @@ fn main() {
     for slot in 0..eval.config.slots {
         print!("{:>4} {:>6}", slot, eval.plan.active_at(slot));
         for (_, report) in &reports {
-            let worst = report.latency_buckets[slot * per_slot..(slot + 1) * per_slot]
-                .iter()
-                .filter_map(|h| h.quantile(0.999))
-                .max();
-            print!(" {:>15}", fmt_opt_ms(worst));
+            print!(
+                " {:>15}",
+                fmt_opt_ms(report.slot_worst_quantile(slot, 0.999))
+            );
         }
         println!();
     }
@@ -80,13 +78,16 @@ fn main() {
         .chain(reports.iter().map(|(sc, _)| sc.name().to_string()))
         .collect();
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
+    let p999: Vec<_> = reports
+        .iter()
+        .map(|(_, r)| r.quantile_per_bucket(0.999))
+        .collect();
     let rows = (0..eval.config.response_buckets).map(|b| {
         std::iter::once(b as f64)
-            .chain(reports.iter().map(|(_, r)| {
-                r.latency_buckets[b]
-                    .quantile(0.999)
-                    .map_or(f64::NAN, |d| d.as_millis_f64())
-            }))
+            .chain(
+                p999.iter()
+                    .map(|q| q[b].map_or(f64::NAN, |d| d.as_millis_f64())),
+            )
             .collect::<Vec<f64>>()
     });
     match write_csv("fig9_p999_ms", &header_refs, rows) {

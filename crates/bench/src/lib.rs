@@ -17,6 +17,7 @@
 #[allow(unsafe_code)]
 pub mod alloc_track;
 pub mod concurrency;
+pub mod power_loop;
 
 use std::io::Write;
 use std::path::PathBuf;

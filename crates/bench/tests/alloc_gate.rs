@@ -9,7 +9,7 @@
 //! sibling tests on concurrent threads, and their allocations would
 //! bleed into our measurement windows otherwise.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::time::Duration;
 
 use proteus_agg::{build_request, http_get_into, METRICS_PATH};
@@ -147,6 +147,18 @@ fn hot_paths_stay_within_allocation_budget() {
     let responder = std::thread::spawn(move || {
         for _ in 0..SCRAPES {
             if let Ok((mut stream, _)) = listener.accept() {
+                // Drain the request head first: closing a socket with
+                // unread input makes the kernel answer with RST, which
+                // can destroy the response before the client reads it.
+                // A stack buffer keeps the responder allocation-free.
+                let mut head = [0u8; 1024];
+                let mut n = 0;
+                while !head[..n].windows(4).any(|w| w == b"\r\n\r\n") {
+                    match stream.read(&mut head[n..]) {
+                        Ok(0) | Err(_) => break,
+                        Ok(k) => n += k,
+                    }
+                }
                 let _ = stream.write_all(&canned);
             }
         }

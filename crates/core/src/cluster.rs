@@ -11,8 +11,9 @@
 //! the database entirely.
 
 use proteus_cache::{CacheConfig, CacheEngine};
+use proteus_obs::HistogramSnapshot;
 use proteus_ring::ServerId;
-use proteus_sim::{EventQueue, Histogram, Resource, SimDuration, SimRng, SimTime, TimeSeries};
+use proteus_sim::{EventQueue, Resource, SimDuration, SimRng, SimTime, TimeSeries};
 use proteus_store::{ShardedStore, StoreConfig};
 use proteus_workload::{Trace, TraceRecord};
 
@@ -20,7 +21,7 @@ use std::collections::HashMap;
 
 use crate::config::ClusterConfig;
 use crate::controller::{FeedbackController, ProvisioningPlan};
-use crate::metrics::{ClusterReport, FetchClass, FetchCounters};
+use crate::metrics::{sim_quantile, slot_buckets, ClusterReport, FetchClass, FetchCounters};
 use crate::power::{EnergyMeter, PowerState};
 use crate::router::Router;
 use crate::scenario::Scenario;
@@ -120,7 +121,7 @@ pub struct ClusterSim {
     requests_per_slot: Vec<u64>,
     active_per_slot: Vec<usize>,
     per_server_per_slot: Vec<Vec<u64>>,
-    latency_buckets: Vec<Histogram>,
+    latency_buckets: Vec<HistogramSnapshot>,
     counters: FetchCounters,
     power_samples: Vec<(SimTime, f64, f64)>,
     total_meter: EnergyMeter,
@@ -216,7 +217,7 @@ impl ClusterSim {
             requests_per_slot: vec![0; slots],
             active_per_slot: vec![0; slots],
             per_server_per_slot: vec![vec![0; config.cache_servers]; slots],
-            latency_buckets: vec![Histogram::new(); buckets],
+            latency_buckets: vec![HistogramSnapshot::empty(); buckets],
             counters: FetchCounters::default(),
             power_samples: Vec::new(),
             total_meter: EnergyMeter::new(),
@@ -273,7 +274,7 @@ impl ClusterSim {
     fn record_completion(&mut self, arrival: SimTime, done: SimTime, class: FetchClass) {
         let latency = done.saturating_since(arrival);
         let bucket = self.bucket_of(done);
-        self.latency_buckets[bucket].record(latency);
+        self.latency_buckets[bucket].record_nanos(latency.as_nanos());
         self.counters.record(class);
     }
 
@@ -431,12 +432,11 @@ impl ClusterSim {
             if slot == 0 {
                 self.transition.active()
             } else {
-                let prev_p999 = previous_slot_delay(
-                    &self.latency_buckets,
-                    self.config.response_buckets,
-                    self.config.slots,
-                    slot,
-                );
+                let mut prev = HistogramSnapshot::empty();
+                for h in slot_buckets(&self.latency_buckets, self.config.slots, slot - 1) {
+                    prev.merge(h);
+                }
+                let prev_p999 = sim_quantile(&prev, 0.999).unwrap_or(SimDuration::ZERO);
                 fc.decide(self.transition.active(), prev_p999)
             }
         } else {
@@ -585,23 +585,6 @@ pub fn page_key(page: u64) -> Vec<u8> {
     key.extend_from_slice(b"page:");
     key.extend_from_slice(page.to_string().as_bytes());
     key
-}
-
-fn previous_slot_delay(
-    buckets: &[Histogram],
-    total_buckets: usize,
-    total_slots: usize,
-    slot: usize,
-) -> SimDuration {
-    // Buckets covering the previous slot.
-    let per_slot = (total_buckets / total_slots).max(1);
-    let start = (slot - 1) * per_slot;
-    let end = (start + per_slot).min(buckets.len());
-    let mut merged = Histogram::new();
-    for h in &buckets[start..end] {
-        merged.merge(h);
-    }
-    merged.quantile(0.999).unwrap_or(SimDuration::ZERO)
 }
 
 fn estimate_peak_rate(records: &[TraceRecord], slot: SimDuration) -> f64 {

@@ -1,7 +1,8 @@
 //! Experiment metrics: fetch classification, counters, and the
 //! end-of-run report.
 
-use proteus_sim::{Histogram, SimDuration, SimTime};
+use proteus_obs::HistogramSnapshot;
+use proteus_sim::{SimDuration, SimTime};
 
 /// How one request was ultimately served (Algorithm 2's branches).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,8 +82,10 @@ pub struct ClusterReport {
     /// Requests handled by each cache server per slot
     /// (`[slot][server]`) — the Fig. 5 load data.
     pub per_server_per_slot: Vec<Vec<u64>>,
-    /// Response-time histogram per time bucket — the Fig. 9 data.
-    pub latency_buckets: Vec<Histogram>,
+    /// Response-time histogram per time bucket — the Fig. 9 data. The
+    /// buckets split the run evenly, so each slot owns an equal run of
+    /// them.
+    pub latency_buckets: Vec<HistogramSnapshot>,
     /// Fetch-path counters.
     pub counters: FetchCounters,
     /// `(time, total watts, cache-tier watts)` power samples — the
@@ -125,7 +128,20 @@ impl ClusterReport {
     /// `q = 0.999`).
     #[must_use]
     pub fn quantile_per_bucket(&self, q: f64) -> Vec<Option<SimDuration>> {
-        self.latency_buckets.iter().map(|h| h.quantile(q)).collect()
+        self.latency_buckets
+            .iter()
+            .map(|h| sim_quantile(h, q))
+            .collect()
+    }
+
+    /// The worst `q`-quantile among the buckets inside `slot` — Fig. 9's
+    /// per-slot table.
+    #[must_use]
+    pub fn slot_worst_quantile(&self, slot: usize, q: f64) -> Option<SimDuration> {
+        slot_buckets(&self.latency_buckets, self.requests_per_slot.len(), slot)
+            .iter()
+            .filter_map(|h| sim_quantile(h, q))
+            .max()
     }
 
     /// The worst `q`-quantile across all buckets.
@@ -169,16 +185,35 @@ impl ClusterReport {
     }
 }
 
+/// The latency buckets covering `slot` when `slots` slots split
+/// `buckets` evenly (empty past the end of the run).
+pub(crate) fn slot_buckets(
+    buckets: &[HistogramSnapshot],
+    slots: usize,
+    slot: usize,
+) -> &[HistogramSnapshot] {
+    let per_slot = (buckets.len() / slots).max(1);
+    let start = (slot * per_slot).min(buckets.len());
+    &buckets[start..(start + per_slot).min(buckets.len())]
+}
+
+/// A histogram's `q`-quantile as simulated time. Exact: the histogram
+/// records `u64` nanoseconds, and its quantiles stay within that range.
+pub(crate) fn sim_quantile(h: &HistogramSnapshot, q: f64) -> Option<SimDuration> {
+    h.quantile(q)
+        .map(|d| SimDuration::from_nanos(d.as_nanos() as u64))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sample_report() -> ClusterReport {
-        let mut h0 = Histogram::new();
-        h0.record(SimDuration::from_millis(2));
-        let mut h1 = Histogram::new();
-        h1.record(SimDuration::from_millis(100));
-        h1.record(SimDuration::from_millis(200));
+        let mut h0 = HistogramSnapshot::empty();
+        h0.record_nanos(2_000_000);
+        let mut h1 = HistogramSnapshot::empty();
+        h1.record_nanos(100_000_000);
+        h1.record_nanos(200_000_000);
         let mut counters = FetchCounters::default();
         counters.record(FetchClass::NewHit);
         counters.record(FetchClass::NewHit);
@@ -225,6 +260,8 @@ mod tests {
         assert!(p999[1].unwrap() > SimDuration::from_millis(150));
         assert!(r.worst_bucket_quantile(0.999).unwrap() > SimDuration::from_millis(150));
         assert!(r.typical_bucket_quantile(0.999).unwrap() > SimDuration::ZERO);
+        assert_eq!(r.slot_worst_quantile(1, 0.999), p999[1]);
+        assert_eq!(r.slot_worst_quantile(2, 0.999), None, "past the run");
     }
 
     #[test]

@@ -936,6 +936,8 @@ mod tests {
         assert_eq!(HistogramSnapshot::from_sparse(&[], 0, 0, 0).unwrap(), empty);
         // Out-of-range bucket indices are rejected, not mis-binned.
         assert!(HistogramSnapshot::from_sparse(&[(usize::MAX, 1)], 0, 1, 1).is_none());
+        // Counts that overflow the sample total are rejected, not wrapped.
+        assert!(HistogramSnapshot::from_sparse(&[(0, u64::MAX), (1, 1)], 0, 0, 1).is_none());
     }
 
     #[test]

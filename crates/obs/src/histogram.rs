@@ -6,9 +6,11 @@
 //! no fences beyond the atomics themselves. Readers pay instead:
 //! [`LatencyHistogram::snapshot`] sums all stripes into an owned
 //! [`HistogramSnapshot`] which supports quantile queries and merging.
+//! The discrete-event simulator records straight into snapshots via
+//! [`HistogramSnapshot::record_nanos`], so sim and live latencies share
+//! one layout and one quantile rule.
 //!
-//! The bucket scheme is the same log-linear layout as the offline
-//! simulator's `proteus_sim::Histogram`: values below 64 ns are exact,
+//! The bucket scheme is log-linear: values below 64 ns are exact,
 //! larger values land in logarithmic octaves split into 64 sub-buckets,
 //! bounding relative quantile error to about 1/64 (~1.6%).
 
@@ -242,7 +244,10 @@ pub struct Percentiles {
     pub p999: Duration,
 }
 
-/// An owned, mergeable point-in-time view of a [`LatencyHistogram`].
+/// An owned, mergeable latency histogram: both a point-in-time view of
+/// a [`LatencyHistogram`] and, through
+/// [`record_nanos`](Self::record_nanos), the single-owner recorder the
+/// discrete-event simulator writes into.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     buckets: Vec<u64>,
@@ -263,6 +268,16 @@ impl HistogramSnapshot {
             min: u64::MAX,
             max: 0,
         }
+    }
+
+    /// Records one sample expressed in nanoseconds: a stripe's bucket
+    /// update without the atomics, for a histogram with one owner.
+    pub fn record_nanos(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum_nanos += u128::from(v);
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
     }
 
     /// Number of recorded samples.
@@ -424,9 +439,9 @@ impl HistogramSnapshot {
     /// [`nonzero_buckets`](Self::nonzero_buckets)). The sample count is
     /// recomputed from the buckets, preserving the snapshot invariant
     /// that `count()` equals the bucket total. Returns `None` if any
-    /// bucket index is outside the log-linear layout, or if the pairs
-    /// are non-empty but `min > max` (a corrupt or hand-rolled
-    /// exposition).
+    /// bucket index is outside the log-linear layout, if the counts
+    /// overflow `u64`, or if the pairs are non-empty but `min > max` (a
+    /// corrupt or hand-rolled exposition).
     #[must_use]
     pub fn from_sparse(
         pairs: &[(usize, u64)],
@@ -439,8 +454,8 @@ impl HistogramSnapshot {
             if idx >= MAX_BUCKETS {
                 return None;
             }
-            snap.buckets[idx] += count;
-            snap.count += count;
+            snap.buckets[idx] = snap.buckets[idx].checked_add(count)?;
+            snap.count = snap.count.checked_add(count)?;
         }
         if snap.count == 0 {
             return Some(snap);

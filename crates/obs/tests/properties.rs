@@ -54,9 +54,10 @@ fn true_quantile(sorted: &[u64], q: f64) -> u64 {
 }
 
 proptest! {
-    /// Concurrently-striped recording is indistinguishable from the
-    /// single-threaded oracle: the merged snapshot is *identical*,
-    /// not merely statistically close.
+    /// Concurrently-striped recording, and recording straight into an
+    /// owned snapshot, are indistinguishable from the single-threaded
+    /// oracle: the snapshot is *identical*, not merely statistically
+    /// close.
     #[test]
     fn striped_concurrent_recording_equals_oracle(values in samples()) {
         let striped = std::sync::Arc::new(LatencyHistogram::with_stripes(4));
@@ -73,6 +74,12 @@ proptest! {
             }
         });
         prop_assert_eq!(striped.snapshot(), oracle_snapshot(&values));
+        // The single-owner record path lands in the same buckets.
+        let mut owned = HistogramSnapshot::empty();
+        for &v in &values {
+            owned.record_nanos(v);
+        }
+        prop_assert_eq!(owned, oracle_snapshot(&values));
     }
 
     /// Merging per-shard snapshots equals recording everything into

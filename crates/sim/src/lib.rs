@@ -18,8 +18,6 @@
 //!   workload distributions used by the experiments (implemented via
 //!   inverse-CDF and Box–Muller so only `rand`'s uniform source is
 //!   required).
-//! - [`Histogram`] — log-bucketed latency histogram with quantile
-//!   queries (the evaluation reports 99.9th-percentile response times).
 //! - [`TimeSeries`] — slot-bucketed counters for per-slot figures.
 //!
 //! # Example
@@ -42,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod dist;
-mod histogram;
 mod queue;
 mod resource;
 mod rng;
@@ -51,7 +48,6 @@ mod stats;
 mod time;
 
 pub use dist::Distribution;
-pub use histogram::Histogram;
 pub use queue::EventQueue;
 pub use resource::Resource;
 pub use rng::SimRng;

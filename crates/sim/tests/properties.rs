@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation substrate.
 
 use proptest::prelude::*;
-use proteus_sim::{EventQueue, Histogram, Resource, SimDuration, SimRng, SimTime, TimeSeries};
+use proteus_sim::{EventQueue, Resource, SimDuration, SimRng, SimTime, TimeSeries};
 
 proptest! {
     /// Popping the event queue always yields events in non-decreasing
@@ -62,75 +62,6 @@ proptest! {
                 .filter(|g| g.start <= probe.start && probe.start < g.end)
                 .count();
             prop_assert!(overlapping <= servers, "{overlapping} > {servers}");
-        }
-    }
-
-    /// Histogram quantiles are within the documented 1.6% relative error
-    /// of the true order statistic, for arbitrary sample sets.
-    #[test]
-    fn histogram_quantile_error_bounded(
-        mut samples in prop::collection::vec(1u64..10_000_000_000, 10..400),
-        q in 0.0f64..1.0,
-    ) {
-        let mut h = Histogram::new();
-        for &s in &samples {
-            h.record(SimDuration::from_nanos(s));
-        }
-        samples.sort_unstable();
-        let rank = ((q * samples.len() as f64).floor() as usize).min(samples.len() - 1);
-        let truth = samples[rank] as f64;
-        let got = h.quantile(q).unwrap().as_nanos() as f64;
-        // The histogram may land one order statistic off when samples
-        // share a bucket; accept bucket-level error against the two
-        // neighbouring order statistics.
-        let lo = samples[rank.saturating_sub(1)] as f64;
-        let hi = samples[(rank + 1).min(samples.len() - 1)] as f64;
-        let tol = 0.017;
-        let ok = (got - truth).abs() / truth <= tol
-            || (got - lo).abs() / lo <= tol
-            || (got - hi).abs() / hi <= tol;
-        prop_assert!(ok, "q={q} got={got} truth={truth} lo={lo} hi={hi}");
-    }
-
-    /// Histogram count and mean are exact.
-    #[test]
-    fn histogram_count_and_mean_exact(samples in prop::collection::vec(0u64..1_000_000, 1..300)) {
-        let mut h = Histogram::new();
-        for &s in &samples {
-            h.record(SimDuration::from_nanos(s));
-        }
-        prop_assert_eq!(h.count(), samples.len() as u64);
-        let mean = samples.iter().sum::<u64>() / samples.len() as u64;
-        prop_assert_eq!(h.mean().unwrap().as_nanos(), mean);
-        prop_assert_eq!(h.min().unwrap().as_nanos(), *samples.iter().min().unwrap());
-        prop_assert_eq!(h.max().unwrap().as_nanos(), *samples.iter().max().unwrap());
-    }
-
-    /// Merging histograms is equivalent to recording the union.
-    #[test]
-    fn histogram_merge_equals_union(
-        a in prop::collection::vec(1u64..1_000_000, 0..100),
-        b in prop::collection::vec(1u64..1_000_000, 0..100),
-    ) {
-        let mut ha = Histogram::new();
-        let mut hb = Histogram::new();
-        let mut hu = Histogram::new();
-        for &s in &a {
-            ha.record(SimDuration::from_nanos(s));
-            hu.record(SimDuration::from_nanos(s));
-        }
-        for &s in &b {
-            hb.record(SimDuration::from_nanos(s));
-            hu.record(SimDuration::from_nanos(s));
-        }
-        ha.merge(&hb);
-        prop_assert_eq!(ha.count(), hu.count());
-        prop_assert_eq!(ha.mean().map(|d| d.as_nanos()), hu.mean().map(|d| d.as_nanos()));
-        for qq in [0.1, 0.5, 0.9, 0.99] {
-            prop_assert_eq!(
-                ha.quantile(qq).map(|d| d.as_nanos()),
-                hu.quantile(qq).map(|d| d.as_nanos())
-            );
         }
     }
 
